@@ -100,9 +100,10 @@ class Engine {
   Engine(const std::vector<JoinInput>& inputs,
          const std::vector<LevelPlan>& plan, const PrefixFilter& filter,
          Metrics* filter_metrics, Relation* out, int batch_size = 0,
-         BudgetTracker* budget = nullptr)
+         BudgetTracker* budget = nullptr, int worker = 0)
       : filter_(filter),
         filter_metrics_(filter_metrics),
+        worker_(worker),
         out_(out),
         budget_(budget != nullptr && budget->limited() ? budget : nullptr),
         count_cancel_(budget_ != nullptr && budget_->has_cancel()),
@@ -220,7 +221,8 @@ class Engine {
         prefix_[depth] = iters[0]->Key();
         ++level_totals_[depth];
         ++total_intermediate_;
-        bool keep = !filter_ || filter_(depth, prefix_, filter_metrics_);
+        bool keep =
+            !filter_ || filter_(depth, prefix_, worker_, filter_metrics_);
         if (keep) {
           if (depth + 1 == num_levels) {
             out_->AppendRow(prefix_);
@@ -308,7 +310,7 @@ class Engine {
     prefix_[depth] = key;
     ++level_totals_[depth];
     ++total_intermediate_;
-    return !filter_ || filter_(depth, prefix_, filter_metrics_);
+    return !filter_ || filter_(depth, prefix_, worker_, filter_metrics_);
   }
 
   // Drains the entire deepest level for the current prefix. Called with
@@ -551,7 +553,8 @@ class Engine {
         prefix_[depth] = RawKeyOf(parts[0]);
         ++level_totals_[depth];
         ++total_intermediate_;
-        bool keep = !filter_ || filter_(depth, prefix_, filter_metrics_);
+        bool keep =
+            !filter_ || filter_(depth, prefix_, worker_, filter_metrics_);
         if (keep) {
           ++depth;  // descend (the deepest level never reaches here)
           entering = true;
@@ -740,6 +743,7 @@ class Engine {
 
   const PrefixFilter& filter_;
   Metrics* filter_metrics_;
+  int worker_;              // executor slot, handed to the filter
   Relation* out_;
   BudgetTracker* budget_;   // null when the query has no finite budget
   bool count_cancel_;       // count cancellation polls (a token is attached)
@@ -1048,8 +1052,8 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
   // exercising the executor path where a shard silently vanishes.
   std::atomic<bool> morsel_dropped{false};
 #endif
-  executor->ParallelFor(num_threads, shards.size(), /*grain=*/1,
-                        [&](size_t s) {
+  executor->ParallelForWorker(num_threads, shards.size(), /*grain=*/1,
+                              [&](int worker, size_t s) {
 #ifdef XJOIN_FAULTS_ENABLED
     if (XJOIN_FAULT("gj.morsel")) {
       morsel_dropped.store(true, std::memory_order_relaxed);
@@ -1060,7 +1064,7 @@ Result<Relation> GenericJoin(const std::vector<JoinInput>& inputs,
     Metrics* filter_metrics =
         options.metrics != nullptr ? &shard.metrics : nullptr;
     Engine engine(shard.inputs, plan, options.prefix_filter, filter_metrics,
-                  &shard.out, options.batch_size, budget);
+                  &shard.out, options.batch_size, budget, worker);
     engine.Run(shard.range);
     shard.level_totals = engine.level_totals();
     shard.seeks = engine.seeks();

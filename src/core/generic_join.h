@@ -54,8 +54,12 @@ struct JoinInput {
 /// When the join runs sharded (num_threads/num_shards > 1), the filter is
 /// invoked concurrently from multiple shard threads (each with its own
 /// prefix buffer and metrics bag) and must otherwise be thread-safe.
-using PrefixFilter = std::function<bool(
-    size_t depth, const std::vector<int64_t>& prefix, Metrics* metrics)>;
+/// `worker` is the calling engine's executor slot, in
+/// [0, max(1, num_threads)): calls with the same slot never overlap, so
+/// a filter can keep per-slot scratch state without locking.
+using PrefixFilter =
+    std::function<bool(size_t depth, const std::vector<int64_t>& prefix,
+                       int worker, Metrics* metrics)>;
 
 /// Engine options.
 struct GenericJoinOptions {

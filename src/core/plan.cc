@@ -38,6 +38,26 @@ struct PlannedInput {
   const PathRelation* path;                         // set for path inputs
 };
 
+// Decides whether the final structural filter is redundant for a twig
+// (see XJoinPlan::TwigExec::validation_skipped). Returns an empty string
+// when the value join is exact, otherwise the reason it is not.
+std::string ValidationReason(const Twig& twig, const TwigDecomposition& d,
+                             const NodeIndex& index) {
+  if (!d.cut_edges.empty()) {
+    const auto& [a, b] = d.cut_edges.front();
+    return "cut edge " + twig.node(a).attribute + "//" +
+           twig.node(b).attribute;
+  }
+  for (size_t q = 0; q < twig.num_nodes(); ++q) {
+    const TwigNode& node = twig.node(static_cast<TwigNodeId>(q));
+    if (node.children.size() < 2) continue;
+    if (!index.TagValuesDistinct(index.doc().LookupTag(node.tag))) {
+      return "branch tag " + node.tag + " has duplicate values";
+    }
+  }
+  return "";
+}
+
 std::vector<PlannedInput> CollectInputs(const XJoinPlan& plan) {
   std::vector<PlannedInput> inputs;
   inputs.reserve(plan.rel_inputs.size() + plan.path_inputs.size());
@@ -230,6 +250,9 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
     const TwigInput& ti = plan->query.twigs[t];
     XJoinPlan::TwigExec exec(TwigStructureValidator(&ti.twig, ti.index));
     XJ_ASSIGN_OR_RETURN(exec.decomposition, DecomposeTwig(ti.twig));
+    exec.validation_reason =
+        ValidationReason(ti.twig, exec.decomposition, *ti.index);
+    exec.validation_skipped = exec.validation_reason.empty();
     exec.order_pos_of_node.resize(ti.twig.num_nodes());
     for (size_t q = 0; q < ti.twig.num_nodes(); ++q) {
       exec.order_pos_of_node[q] =
@@ -350,8 +373,12 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     const TwigInput& ti = plan.query.twigs[t];
     out += "  twig " + ti.twig.ToString() + "  [document: " +
            std::to_string(ti.index->doc().num_nodes()) + " nodes]\n";
+    const XJoinPlan::TwigExec& exec = plan.twigs[t];
     out += "    transform(Sx): " +
-           DecompositionToString(ti.twig, plan.twigs[t].decomposition) + "\n";
+           DecompositionToString(ti.twig, exec.decomposition) + "\n";
+    out += exec.validation_skipped
+               ? std::string("    validation: skipped (value join exact)\n")
+               : "    validation: top-down (" + exec.validation_reason + ")\n";
   }
   for (const auto& p : plan.path_inputs) {
     out += "  path " + p.name + " = " + p.signature + "  [" +

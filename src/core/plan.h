@@ -124,7 +124,13 @@ struct XJoinOptions {
   /// (tuples after), "xjoin.pruned" (prefixes cut by partial
   /// validation), "xjoin.max_intermediate", and the per-twig
   /// "validate.*" sub-counters — exact at every thread count (per-shard
-  /// bags merged at the barriers).
+  /// bags merged at the barriers). "validate.candidates" counts the
+  /// top-down candidates: per checked assignment and bound twig node,
+  /// the (tag, value) nodes that lie under a candidate of the node's
+  /// bound parent (all (tag, value) nodes for a node without one).
+  /// Twigs whose value join is exact skip the final filter, so only
+  /// the prefix filter of structural_pruning counts for them;
+  /// "xjoin.validated" is recorded either way.
   Metrics* metrics = nullptr;
 };
 
@@ -209,6 +215,15 @@ struct XJoinPlan {
     TwigStructureValidator validator;
     /// Twig node id -> position of its attribute in the global order.
     std::vector<size_t> order_pos_of_node;
+    /// True when every expanded tuple provably has an embedding, so the
+    /// final filter passes the twig through: the decomposition cut no
+    /// A-D edge and every twig node with two or more children has a tag
+    /// whose values are distinct in the document. Each value then pins
+    /// its branch node (and, through P-C parents, every shared node of
+    /// the paths), so the paths' chains glue into one embedding.
+    bool validation_skipped = false;
+    /// Why the final filter still runs (EXPLAIN); empty when skipped.
+    std::string validation_reason;
 
     explicit TwigExec(TwigStructureValidator v) : validator(std::move(v)) {}
   };

@@ -107,31 +107,33 @@ int64_t PathRelation::CountChains() const {
 }
 
 LazyPathTrieIterator::LazyPathTrieIterator(const PathRelation* relation)
-    : relation_(relation) {}
+    : relation_(relation), frames_(static_cast<size_t>(relation->arity())) {}
 
 void LazyPathTrieIterator::FixGroup() {
   Frame& f = frames_[static_cast<size_t>(depth_)];
-  if (f.pos >= f.entries.size()) {
+  if (f.pos >= f.size) {
     f.group_end = f.pos;
     return;
   }
   int64_t value = f.entries[f.pos].value;
   size_t e = f.pos + 1;
-  while (e < f.entries.size() && f.entries[e].value == value) ++e;
+  while (e < f.size && f.entries[e].value == value) ++e;
   f.group_end = e;
 }
 
 void LazyPathTrieIterator::Open() {
   XJ_DCHECK(depth_ + 1 < relation_->arity());
-  Frame next;
+  Frame& next = frames_[static_cast<size_t>(depth_ + 1)];
   const NodeIndex& index = relation_->index();
+  const int32_t tag = relation_->tags()[static_cast<size_t>(depth_ + 1)];
   if (depth_ < 0) {
-    int32_t tag = relation_->tags()[0];
-    if (tag >= 0) next.entries = index.ValueSortedNodes(tag);
+    const std::vector<ValueNode>& list = index.ValueSortedNodes(tag);
+    next.entries = list.data();
+    next.size = list.size();
   } else {
     const Frame& parent = frames_[static_cast<size_t>(depth_)];
     XJ_DCHECK(parent.pos < parent.group_end);
-    int32_t tag = relation_->tags()[static_cast<size_t>(depth_) + 1];
+    next.buf.clear();
     if (tag >= 0) {
       const XmlDocument& doc = index.doc();
       for (size_t i = parent.pos; i < parent.group_end; ++i) {
@@ -139,32 +141,33 @@ void LazyPathTrieIterator::Open() {
         for (NodeId c = doc.node(parent_node).first_child; c != kNullNode;
              c = doc.node(c).next_sibling) {
           if (doc.node(c).tag == tag) {
-            next.entries.push_back(ValueNode{index.ValueOf(c), c});
+            next.buf.push_back(ValueNode{index.ValueOf(c), c});
           }
         }
       }
-      std::sort(next.entries.begin(), next.entries.end(),
+      std::sort(next.buf.begin(), next.buf.end(),
                 [](const ValueNode& a, const ValueNode& b) {
                   if (a.value != b.value) return a.value < b.value;
                   return a.node < b.node;
                 });
     }
+    next.entries = next.buf.data();
+    next.size = next.buf.size();
   }
+  next.pos = 0;
   ++depth_;
-  frames_.push_back(std::move(next));
   FixGroup();
 }
 
 void LazyPathTrieIterator::Up() {
   XJ_DCHECK(depth_ >= 0);
-  frames_.pop_back();
   --depth_;
 }
 
 bool LazyPathTrieIterator::AtEnd() const {
   XJ_DCHECK(depth_ >= 0);
   const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return f.pos >= f.entries.size();
+  return f.pos >= f.size;
 }
 
 int64_t LazyPathTrieIterator::Key() const {
@@ -188,24 +191,22 @@ void LazyPathTrieIterator::Seek(int64_t key) {
   // usually near), then binary search inside the bracket.
   size_t base = f.pos;
   size_t step = 1;
-  const size_t n = f.entries.size();
+  const size_t n = f.size;
   while (base + step < n && f.entries[base + step].value < key) {
     base += step;
     step <<= 1;
   }
   size_t search_hi = std::min(base + step, n);
   f.pos = static_cast<size_t>(
-      std::lower_bound(f.entries.begin() + static_cast<ptrdiff_t>(base),
-                       f.entries.begin() + static_cast<ptrdiff_t>(search_hi),
-                       key, cmp) -
-      f.entries.begin());
+      std::lower_bound(f.entries + base, f.entries + search_hi, key, cmp) -
+      f.entries);
   FixGroup();
 }
 
 int64_t LazyPathTrieIterator::EstimateKeys() const {
   XJ_DCHECK(depth_ >= 0);
   const Frame& f = frames_[static_cast<size_t>(depth_)];
-  return static_cast<int64_t>(f.entries.size() - f.pos);
+  return static_cast<int64_t>(f.size - f.pos);
 }
 
 std::unique_ptr<TrieIterator> LazyPathTrieIterator::Clone() const {

@@ -64,7 +64,10 @@ class PathRelation {
 /// TrieIterator over a PathRelation that walks the document lazily.
 /// Level state is a value-sorted list of (value, node) candidates for the
 /// current parent group; Open() on level i gathers the tag-matching
-/// children of the nodes in the parent's current value group.
+/// children of the nodes in the parent's current value group. The root
+/// level reads the index's per-tag list in place, and every deeper level
+/// reuses one buffer per depth, so Open/Up do not allocate once each
+/// depth has been visited.
 class LazyPathTrieIterator final : public TrieIterator {
  public:
   explicit LazyPathTrieIterator(const PathRelation* relation);
@@ -82,16 +85,18 @@ class LazyPathTrieIterator final : public TrieIterator {
 
  private:
   struct Frame {
-    std::vector<ValueNode> entries;  // sorted by (value, node)
+    const ValueNode* entries = nullptr;  // sorted by (value, node)
+    size_t size = 0;
     size_t pos = 0;                  // start of current value group
     size_t group_end = 0;            // one past the group
+    std::vector<ValueNode> buf;      // backs `entries` below the root
   };
 
   void FixGroup();
 
   const PathRelation* relation_;
   int depth_ = -1;
-  std::vector<Frame> frames_;
+  std::vector<Frame> frames_;  // one per level, kept across Up()
 };
 
 }  // namespace xjoin

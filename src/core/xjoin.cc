@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -49,9 +48,31 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
     inputs.push_back(JoinInput{path.name, path.attrs, iterators.back().get()});
   }
 
-  // 2. Optional partial structural validation during expansion. The
-  // validators are stateless-const and shared across shard threads;
-  // each invocation records into the engine's shard-local metrics bag,
+  // Per-executor-slot validation state: calls with one slot never
+  // overlap, so the validators (immutable, shared by every slot) check
+  // rows without allocating or locking.
+  size_t max_twig_nodes = 0;
+  for (const TwigInput& ti : plan.query.twigs) {
+    max_twig_nodes = std::max(max_twig_nodes, ti.twig.num_nodes());
+  }
+  struct ValidationSlot {
+    TwigStructureValidator::Scratch scratch;
+    std::vector<int64_t> values;
+    std::vector<uint8_t> bound;
+    Metrics metrics;  // final filter only; the prefix filter uses the
+                      // engine's shard-local bag
+  };
+  auto make_slots = [max_twig_nodes](size_t count) {
+    std::vector<ValidationSlot> slots(count);
+    for (ValidationSlot& slot : slots) {
+      slot.values.resize(max_twig_nodes);
+      slot.bound.resize(max_twig_nodes);
+    }
+    return slots;
+  };
+
+  // 2. Optional partial structural validation during expansion. Each
+  // invocation records into the engine's shard-local metrics bag,
   // merged at the join barrier — counters stay exact in parallel runs.
   GenericJoinOptions gj_options;
   gj_options.attribute_order = plan.order;
@@ -62,24 +83,27 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   gj_options.batch_size = plan.batch_size;
   gj_options.budget = budget;
   gj_options.executor = options.executor;
+  std::vector<ValidationSlot> filter_slots;
   if (plan.structural_pruning) {
-    gj_options.prefix_filter = [&plan](size_t depth,
-                                       const std::vector<int64_t>& prefix,
-                                       Metrics* metrics) {
-      for (size_t t = 0; t < plan.twigs.size(); ++t) {
-        const XJoinPlan::TwigExec& exec = plan.twigs[t];
-        const Twig& twig = plan.query.twigs[t].twig;
+    filter_slots = make_slots(static_cast<size_t>(num_threads));
+    gj_options.prefix_filter = [&](size_t depth,
+                                   const std::vector<int64_t>& prefix,
+                                   int worker, Metrics* metrics) {
+      ValidationSlot& slot = filter_slots[static_cast<size_t>(worker)];
+      for (const XJoinPlan::TwigExec& exec : plan.twigs) {
         // Only re-check when the newly bound attribute belongs to this
         // twig.
         bool relevant = false;
-        std::vector<std::optional<int64_t>> values(twig.num_nodes());
-        for (size_t q = 0; q < twig.num_nodes(); ++q) {
+        for (size_t q = 0; q < exec.order_pos_of_node.size(); ++q) {
           size_t pos = exec.order_pos_of_node[q];
-          if (pos <= depth) values[q] = prefix[pos];
+          slot.bound[q] = pos <= depth ? 1 : 0;
+          if (pos <= depth) slot.values[q] = prefix[pos];
           if (pos == depth) relevant = true;
         }
         if (!relevant) continue;
-        if (!exec.validator.ExistsEmbedding(values, metrics)) {
+        if (!exec.validator.ExistsEmbedding(slot.values.data(),
+                                            slot.bound.data(), &slot.scratch,
+                                            metrics)) {
           MetricsAdd(metrics, "xjoin.pruned", 1);
           return false;
         }
@@ -97,23 +121,23 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   MetricsAdd(options.metrics, "xjoin.expanded",
              static_cast<int64_t>(expanded.num_rows()));
 
-  // 4. Final structural validation. Row checks are independent, so they
-  // run chunked across the thread pool with one scratch Metrics per
-  // worker (merged after the barrier — sub-counters stay exact); the
-  // keep-mask is filled at disjoint indices and the surviving rows are
-  // appended serially in row order, keeping the output deterministic.
-  Relation validated(expanded.schema());
-  if (plan.twigs.empty()) {
-    validated = std::move(expanded);
-  } else {
+  // 4. Final structural validation, for the twigs whose value join is
+  // not already exact (XJoinPlan::TwigExec::validation_skipped). Row
+  // checks are independent, so they run chunked across the thread pool
+  // with one ValidationSlot per worker (its Metrics merged after the
+  // barrier — sub-counters stay exact); the keep-mask is filled at
+  // disjoint indices and the surviving rows are compacted column by
+  // column in row order, keeping the output deterministic.
+  bool validate_rows = false;
+  for (const XJoinPlan::TwigExec& exec : plan.twigs) {
+    if (!exec.validation_skipped) validate_rows = true;
+  }
+  if (validate_rows) {
     const size_t num_rows = expanded.num_rows();
     constexpr size_t kGrain = 64;
     std::vector<uint8_t> keep(num_rows, 0);
-    std::vector<Metrics> worker_metrics(
-        options.metrics != nullptr
-            ? static_cast<size_t>(
-                  ParallelWorkerCount(num_threads, num_rows, kGrain))
-            : 0);
+    std::vector<ValidationSlot> slots = make_slots(static_cast<size_t>(
+        ParallelWorkerCount(num_threads, num_rows, kGrain)));
     Executor* executor =
         options.executor != nullptr ? options.executor : Executor::Default();
     executor->ParallelForWorker(
@@ -122,29 +146,29 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
           // remaining rows (the whole result is discarded below, so a
           // zero keep-bit is fine).
           if (budget != nullptr && budget->violated()) return;
-          Metrics* metrics = worker_metrics.empty()
-                                 ? nullptr
-                                 : &worker_metrics[static_cast<size_t>(worker)];
-          bool ok = true;
-          for (size_t t = 0; t < plan.twigs.size(); ++t) {
-            const XJoinPlan::TwigExec& exec = plan.twigs[t];
-            const Twig& twig = plan.query.twigs[t].twig;
-            std::vector<std::optional<int64_t>> values(twig.num_nodes());
-            for (size_t q = 0; q < twig.num_nodes(); ++q) {
-              values[q] = expanded.at(r, exec.order_pos_of_node[q]);
+          ValidationSlot& slot = slots[static_cast<size_t>(worker)];
+          Metrics* metrics =
+              options.metrics != nullptr ? &slot.metrics : nullptr;
+          for (const XJoinPlan::TwigExec& exec : plan.twigs) {
+            if (exec.validation_skipped) continue;
+            for (size_t q = 0; q < exec.order_pos_of_node.size(); ++q) {
+              slot.values[q] = expanded.at(r, exec.order_pos_of_node[q]);
             }
-            if (!exec.validator.ExistsEmbedding(values, metrics)) {
-              ok = false;
-              break;
+            if (!exec.validator.ExistsEmbedding(slot.values.data(), nullptr,
+                                                &slot.scratch, metrics)) {
+              return;
             }
           }
-          keep[r] = ok ? 1 : 0;
+          keep[r] = 1;
         });
-    for (const Metrics& m : worker_metrics) options.metrics->MergeFrom(m);
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (keep[r] != 0) validated.AppendRow(expanded.GetRow(r));
+    if (options.metrics != nullptr) {
+      for (const ValidationSlot& slot : slots) {
+        options.metrics->MergeFrom(slot.metrics);
+      }
     }
+    expanded.RetainRows(keep);
   }
+  Relation validated = std::move(expanded);
   // Deadline/cancel check after the validation stage (its cost scales
   // with the expansion size, which the deadline is meant to bound).
   // Surviving rows were already charged as expansion output — no double

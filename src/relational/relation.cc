@@ -44,6 +44,17 @@ void Relation::AppendRows(const Relation& other) {
   }
 }
 
+void Relation::RetainRows(const std::vector<uint8_t>& keep) {
+  XJ_DCHECK(keep.size() == num_rows());
+  for (std::vector<int64_t>& col : columns_) {
+    size_t out = 0;
+    for (size_t r = 0; r < col.size(); ++r) {
+      if (keep[r] != 0) col[out++] = col[r];
+    }
+    col.resize(out);
+  }
+}
+
 Tuple Relation::GetRow(size_t row) const {
   Tuple t(columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) t[c] = columns_[c][row];

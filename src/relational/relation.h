@@ -46,6 +46,11 @@ class Relation {
   /// identical schema (same attribute names in the same order).
   void AppendRows(const Relation& other);
 
+  /// Keeps the rows r with keep[r] != 0, in order, compacting each
+  /// column in place (one pass per column, no per-row temporaries).
+  /// Precondition: keep.size() == num_rows().
+  void RetainRows(const std::vector<uint8_t>& keep);
+
   /// Cell accessor.
   int64_t at(size_t row, size_t col) const { return columns_[col][row]; }
 

@@ -34,12 +34,21 @@ NodeIndex NodeIndex::Build(const XmlDocument* doc, Dictionary* dict,
     index.by_tag_value_[static_cast<size_t>(node.tag)].push_back(
         ValueNode{index.values_[i], static_cast<NodeId>(i)});
   }
-  for (auto& list : index.by_tag_value_) {
+  index.tag_values_distinct_.assign(num_tags, 1);
+  for (size_t t = 0; t < num_tags; ++t) {
+    std::vector<ValueNode>& list = index.by_tag_value_[t];
     std::sort(list.begin(), list.end(),
               [](const ValueNode& a, const ValueNode& b) {
                 if (a.value != b.value) return a.value < b.value;
                 return a.node < b.node;
               });
+    // Sorted by value, so a repeated value sits next to itself.
+    for (size_t i = 1; i < list.size(); ++i) {
+      if (list[i].value == list[i - 1].value) {
+        index.tag_values_distinct_[t] = 0;
+        break;
+      }
+    }
   }
   return index;
 }

@@ -67,6 +67,14 @@ class NodeIndex {
   /// All nodes whose join value is `value` and tag is `tag`.
   std::vector<NodeId> NodesByTagValue(int32_t tag, int64_t value) const;
 
+  /// True when no two nodes with tag code `tag` share a join value, i.e.
+  /// the value determines the node (a value -> node functional
+  /// dependency). Vacuously true for tags absent from the document.
+  bool TagValuesDistinct(int32_t tag) const {
+    return tag < 0 || static_cast<size_t>(tag) >= tag_values_distinct_.size() ||
+           tag_values_distinct_[static_cast<size_t>(tag)] != 0;
+  }
+
  private:
   NodeIndex() = default;
 
@@ -75,6 +83,7 @@ class NodeIndex {
   std::vector<int64_t> values_;                      // by NodeId
   std::vector<std::vector<NodeId>> by_tag_;          // by tag code
   std::vector<std::vector<ValueNode>> by_tag_value_; // by tag code
+  std::vector<uint8_t> tag_values_distinct_;         // by tag code
   std::vector<NodeId> empty_nodes_;
   std::vector<ValueNode> empty_value_nodes_;
 };

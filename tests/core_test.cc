@@ -17,6 +17,7 @@
 #include "core/xjoin.h"
 #include "relational/operators.h"
 #include "relational/trie.h"
+#include "tests/reference_validate.h"
 #include "tests/test_util.h"
 #include "twigjoin/naive_twig.h"
 #include "workload/paper_example.h"
@@ -223,7 +224,8 @@ TEST(GenericJoinTest, PrefixFilterPrunes) {
   auto it = trie->NewIterator();
   GenericJoinOptions opts;
   opts.attribute_order = {"A"};
-  opts.prefix_filter = [](size_t, const std::vector<int64_t>& p, Metrics*) {
+  opts.prefix_filter = [](size_t, const std::vector<int64_t>& p, int,
+                          Metrics*) {
     return p[0] % 2 == 0;
   };
   auto result = GenericJoin({{"R", {"A"}, it.get()}}, opts);
@@ -416,6 +418,21 @@ TEST(BoundTest, ExactAndChainCountModes) {
   EXPECT_GE(b2->cover.log2_bound, b1->cover.log2_bound - 1e-9);
 }
 
+// One-off check of an assignment given as optionals (nullopt = unbound).
+bool Embeds(const TwigStructureValidator& validator,
+            const std::vector<std::optional<int64_t>>& opt) {
+  std::vector<int64_t> values(opt.size(), 0);
+  std::vector<uint8_t> bound(opt.size(), 0);
+  for (size_t q = 0; q < opt.size(); ++q) {
+    if (opt[q].has_value()) {
+      values[q] = *opt[q];
+      bound[q] = 1;
+    }
+  }
+  TwigStructureValidator::Scratch scratch;
+  return validator.ExistsEmbedding(values.data(), bound.data(), &scratch);
+}
+
 TEST(ValidateTest, FullAssignmentExactness) {
   auto doc = ParseXml(
       "<r><a>1<b>x</b></a><a>2<b>y</b></a><c>only-under-a2</c></r>");
@@ -426,9 +443,9 @@ TEST(ValidateTest, FullAssignmentExactness) {
   TwigStructureValidator v(&*twig, &index);
   auto val = [&](const char* s) { return dict.Lookup(s); };
   // (1,x) and (2,y) embed; (1,y) does not.
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), val("x")}));
-  EXPECT_TRUE(v.ExistsEmbedding({val("2"), val("y")}));
-  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}));
+  EXPECT_TRUE(Embeds(v, {val("1"), val("x")}));
+  EXPECT_TRUE(Embeds(v, {val("2"), val("y")}));
+  EXPECT_FALSE(Embeds(v, {val("1"), val("y")}));
 }
 
 TEST(ValidateTest, PartialAssignmentsAreSound) {
@@ -438,11 +455,11 @@ TEST(ValidateTest, PartialAssignmentsAreSound) {
   auto twig = Twig::Parse("a/b");
   TwigStructureValidator v(&*twig, &index);
   auto val = [&](const char* s) { return dict.Lookup(s); };
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), std::nullopt}));
-  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, val("x")}));
-  EXPECT_TRUE(v.ExistsEmbedding({std::nullopt, std::nullopt}));
+  EXPECT_TRUE(Embeds(v, {val("1"), std::nullopt}));
+  EXPECT_TRUE(Embeds(v, {std::nullopt, val("x")}));
+  EXPECT_TRUE(Embeds(v, {std::nullopt, std::nullopt}));
   // No a-node with text x.
-  EXPECT_FALSE(v.ExistsEmbedding({val("x"), std::nullopt}));
+  EXPECT_FALSE(Embeds(v, {val("x"), std::nullopt}));
 }
 
 TEST(ValidateTest, DescendantEdgesChecked) {
@@ -452,48 +469,188 @@ TEST(ValidateTest, DescendantEdgesChecked) {
   auto twig = Twig::Parse("a//b");
   TwigStructureValidator v(&*twig, &index);
   auto val = [&](const char* s) { return dict.Lookup(s); };
-  EXPECT_TRUE(v.ExistsEmbedding({val("1"), val("x")}));
-  EXPECT_FALSE(v.ExistsEmbedding({val("2"), val("x")}));  // b not under a2
-  EXPECT_FALSE(v.ExistsEmbedding({val("1"), val("y")}));  // y outside a1
+  EXPECT_TRUE(Embeds(v, {val("1"), val("x")}));
+  EXPECT_FALSE(Embeds(v, {val("2"), val("x")}));  // b not under a2
+  EXPECT_FALSE(Embeds(v, {val("1"), val("y")}));  // y outside a1
 }
 
-// Property: on full assignments the validator agrees with the naive
-// matcher's value-level semantics.
-class ValidateProperty : public ::testing::TestWithParam<int> {};
+// Property: the validator agrees with the reference bottom-up solver
+// (tests/reference_validate.h) on every assignment, and on full
+// assignments with the naive matcher's value-level semantics.
+class ValidateProperty : public ::testing::TestWithParam<int> {
+ protected:
+  // Checks `twig` over `doc`: every oracle tuple validates; a perturbed
+  // tuple validates iff it is itself an oracle tuple; a partial
+  // assignment validates iff the reference accepts it, and always when
+  // it is the restriction of an oracle tuple. One scratch serves every
+  // call, so reuse across assignments (and twig sizes) is covered too.
+  void Check(const XmlDocument& doc, const Twig& twig, uint64_t seed) {
+    Dictionary dict;
+    NodeIndex index = NodeIndex::Build(&doc, &dict);
+    TwigStructureValidator validator(&twig, &index);
+    const size_t n = twig.num_nodes();
+    auto validate = [&](const std::vector<std::optional<int64_t>>& opt) {
+      std::vector<int64_t> values(n, 0);
+      std::vector<uint8_t> bound(n, 0);
+      bool full = true;
+      for (size_t q = 0; q < n; ++q) {
+        if (opt[q].has_value()) {
+          values[q] = *opt[q];
+          bound[q] = 1;
+        } else {
+          full = false;
+        }
+      }
+      bool ok = validator.ExistsEmbedding(values.data(), bound.data(),
+                                          &scratch_);
+      EXPECT_EQ(ok, testing::ReferenceExistsEmbedding(twig, index, opt));
+      if (full) {
+        EXPECT_EQ(ok, validator.ExistsEmbedding(values.data(), nullptr,
+                                                &scratch_));
+      }
+      return ok;
+    };
+
+    std::set<std::vector<int64_t>> valid_tuples;
+    for (const auto& m : MatchTwigNaive(doc, twig)) {
+      std::vector<int64_t> vals(m.size());
+      for (size_t i = 0; i < m.size(); ++i) vals[i] = index.ValueOf(m[i]);
+      valid_tuples.insert(vals);
+    }
+    Rng rng(seed);
+    // A replacement value: a text value of the pool or some node's value
+    // (synthetic for text-less nodes).
+    auto random_value = [&]() {
+      if (rng.NextBernoulli(0.5)) {
+        return dict.Intern("v" + std::to_string(rng.NextBounded(3)));
+      }
+      return index.ValueOf(
+          static_cast<NodeId>(rng.NextBounded(doc.num_nodes())));
+    };
+    size_t checked = 0;
+    for (const auto& vals : valid_tuples) {
+      if (++checked > 300) break;  // cap runtime
+      EXPECT_TRUE(validate({vals.begin(), vals.end()}));
+
+      std::vector<int64_t> mutated = vals;
+      mutated[rng.NextBounded(n)] = random_value();
+      EXPECT_EQ(validate({mutated.begin(), mutated.end()}),
+                valid_tuples.count(mutated) > 0);
+
+      std::vector<std::optional<int64_t>> partial(n);
+      std::vector<std::optional<int64_t>> partial_random(n);
+      for (size_t q = 0; q < n; ++q) {
+        if (rng.NextBernoulli(0.5)) partial[q] = vals[q];
+        if (rng.NextBernoulli(0.5)) {
+          partial_random[q] = rng.NextBernoulli(0.5) ? vals[q] : random_value();
+        }
+      }
+      EXPECT_TRUE(validate(partial));
+      validate(partial_random);
+    }
+    // Assignments of values that occur nowhere in the oracle set.
+    for (int i = 0; i < 20; ++i) {
+      std::vector<std::optional<int64_t>> opt(n);
+      for (size_t q = 0; q < n; ++q) {
+        if (rng.NextBernoulli(0.7)) opt[q] = random_value();
+      }
+      validate(opt);
+    }
+  }
+
+  TwigStructureValidator::Scratch scratch_;
+};
 
 TEST_P(ValidateProperty, AgreesWithNaiveMatcherOnFullAssignments) {
   Rng rng(10000 + static_cast<uint64_t>(GetParam()));
   std::vector<std::string> tags = {"a", "b", "c"};
   auto doc = testing::RandomDocument(&rng, 2 + rng.NextBounded(30), tags, 3);
-  Dictionary dict;
-  NodeIndex index = NodeIndex::Build(doc.get(), &dict);
   Twig twig = testing::RandomTwig(&rng, 1 + rng.NextBounded(4), tags);
-  TwigStructureValidator validator(&twig, &index);
+  Check(*doc, twig, 777 + static_cast<uint64_t>(GetParam()));
+}
 
-  // Value tuples with >= 1 embedding, from the oracle.
-  auto matches = MatchTwigNaive(*doc, twig);
-  std::set<std::vector<int64_t>> valid_tuples;
-  for (const auto& m : matches) {
-    std::vector<int64_t> vals(m.size());
-    for (size_t i = 0; i < m.size(); ++i) vals[i] = index.ValueOf(m[i]);
-    valid_tuples.insert(vals);
+TEST_P(ValidateProperty, HeavilyRepeatedValuesInLargeDocuments) {
+  // Hundreds of nodes sharing two text values: every by-value list is
+  // long, so candidates must come from the bound parent's region.
+  Rng rng(11000 + static_cast<uint64_t>(GetParam()));
+  std::vector<std::string> tags = {"a", "b", "c"};
+  auto doc = testing::RandomDocument(&rng, 200 + rng.NextBounded(200), tags,
+                                     2, /*text_prob=*/0.95);
+  Twig twig = testing::RandomTwig(&rng, 2 + rng.NextBounded(3), tags,
+                                  /*ad_prob=*/0.2);
+  Check(*doc, twig, 1777 + static_cast<uint64_t>(GetParam()));
+}
+
+// A random recursive tree of `a` and `b` elements in which `a` elements
+// nest and each `a` value names a few nodes, while all `b` elements share
+// two values — long by-value ranges under few, nested parent candidates.
+std::unique_ptr<XmlDocument> NestedDocument(Rng* rng, size_t num_nodes) {
+  std::vector<std::vector<size_t>> children(num_nodes);
+  for (size_t i = 1; i < num_nodes; ++i) {
+    children[rng->NextBounded(i)].push_back(i);
   }
-  // Every oracle tuple must validate.
-  for (const auto& vals : valid_tuples) {
-    std::vector<std::optional<int64_t>> opt(vals.begin(), vals.end());
-    EXPECT_TRUE(validator.ExistsEmbedding(opt));
+  XmlDocumentBuilder b;
+  std::vector<std::pair<size_t, size_t>> stack;  // (node, next child)
+  auto open = [&](size_t node) {
+    bool is_a = node == 0 || rng->NextBernoulli(0.6);
+    b.StartElement(is_a ? "a" : "b");
+    size_t pool = is_a ? num_nodes / 6 : 2;
+    b.AddText("v" + std::to_string(rng->NextBounded(pool)));
+    stack.emplace_back(node, 0);
+  };
+  open(0);
+  while (!stack.empty()) {
+    auto& [node, next] = stack.back();
+    if (next < children[node].size()) {
+      open(children[node][next++]);
+    } else {
+      EXPECT_TRUE(b.EndElement().ok());
+      stack.pop_back();
+    }
   }
-  // Perturbed tuples must validate iff they are themselves oracle tuples.
-  Rng rng2(777 + static_cast<uint64_t>(GetParam()));
-  for (const auto& vals : valid_tuples) {
-    std::vector<int64_t> mutated = vals;
-    size_t pos = rng2.NextBounded(mutated.size());
-    mutated[pos] = dict.Intern("v" + std::to_string(rng2.NextBounded(3)));
-    std::vector<std::optional<int64_t>> opt(mutated.begin(), mutated.end());
-    EXPECT_EQ(validator.ExistsEmbedding(opt),
-              valid_tuples.count(mutated) > 0);
-    if (valid_tuples.size() > 400) break;  // cap runtime
+  auto doc = b.Finish();
+  return std::make_unique<XmlDocument>(*std::move(doc));
+}
+
+TEST_P(ValidateProperty, NestedSameTagElements) {
+  Rng rng(12000 + static_cast<uint64_t>(GetParam()));
+  auto doc = NestedDocument(&rng, 120 + rng.NextBounded(120));
+  Twig twig =
+      testing::RandomTwig(&rng, 2 + rng.NextBounded(3), {"a", "a", "b"});
+  Check(*doc, twig, 2777 + static_cast<uint64_t>(GetParam()));
+}
+
+TEST_P(ValidateProperty, TextOnBranchTags) {
+  // Every element carries one of three text values, so the branch node
+  // of the twig has duplicate values and cannot pin its node.
+  Rng rng(13000 + static_cast<uint64_t>(GetParam()));
+  std::vector<std::string> tags = {"a", "b", "c"};
+  auto doc = testing::RandomDocument(&rng, 30 + rng.NextBounded(60), tags, 3,
+                                     /*text_prob=*/1.0);
+  TwigBuilder b;
+  TwigNodeId root = b.AddRoot(tags[rng.NextBounded(3)], "q0");
+  size_t fanout = 2 + rng.NextBounded(2);
+  for (size_t i = 0; i < fanout; ++i) {
+    TwigNodeId child =
+        b.AddChild(root, TwigAxis::kChild, tags[rng.NextBounded(3)],
+                   "q" + std::to_string(1 + 2 * i));
+    if (rng.NextBernoulli(0.4)) {
+      b.AddChild(child, TwigAxis::kChild, tags[rng.NextBounded(3)],
+                 "q" + std::to_string(2 + 2 * i));
+    }
   }
+  auto twig = b.Finish();
+  ASSERT_TRUE(twig.ok());
+  Check(*doc, *twig, 3777 + static_cast<uint64_t>(GetParam()));
+}
+
+TEST_P(ValidateProperty, DescendantEdgesAndPartialAssignments) {
+  Rng rng(14000 + static_cast<uint64_t>(GetParam()));
+  std::vector<std::string> tags = {"a", "b", "c"};
+  auto doc = testing::RandomDocument(&rng, 10 + rng.NextBounded(50), tags, 3);
+  Twig twig = testing::RandomTwig(&rng, 2 + rng.NextBounded(4), tags,
+                                  /*ad_prob=*/0.7);
+  Check(*doc, twig, 4777 + static_cast<uint64_t>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ValidateProperty,

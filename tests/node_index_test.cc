@@ -71,6 +71,21 @@ TEST(NodeIndexTest, NodesByTagValue) {
   EXPECT_TRUE(index.NodesByTagValue(-1, x).empty());
 }
 
+TEST(NodeIndexTest, TagValuesDistinct) {
+  auto doc = ParseXml("<r><a>1</a><a>2</a><b>x</b><b>x</b><c/><c/></r>");
+  ASSERT_TRUE(doc.ok());
+  Dictionary dict;
+  NodeIndex index = NodeIndex::Build(&*doc, &dict);
+  EXPECT_TRUE(index.TagValuesDistinct(doc->LookupTag("a")));
+  EXPECT_FALSE(index.TagValuesDistinct(doc->LookupTag("b")));
+  // Text-less elements take synthetic per-node values.
+  EXPECT_TRUE(index.TagValuesDistinct(doc->LookupTag("c")));
+  EXPECT_TRUE(index.TagValuesDistinct(-1));
+  NodeIndex by_node =
+      NodeIndex::Build(&*doc, &dict, ValuePolicy::kNodeIdAlways);
+  EXPECT_TRUE(by_node.TagValuesDistinct(doc->LookupTag("b")));
+}
+
 TEST(NodeIndexTest, UnknownTagYieldsEmpty) {
   auto doc = ParseXml("<r/>");
   ASSERT_TRUE(doc.ok());

@@ -314,6 +314,46 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
   EXPECT_EQ(serial.Get("xjoin.validated"), parallel.Get("xjoin.validated"));
 }
 
+TEST_F(PlanTest, ExplainShowsWhetherFinalValidationRuns) {
+  // item carries no text, so its synthetic values are distinct and the
+  // value join of item[B]/D is exact.
+  auto exact = db_.ExplainXJoin(q_);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_NE(exact->find("validation: skipped (value join exact)"),
+            std::string::npos)
+      << *exact;
+
+  // The decomposition cuts the A-D edge, which only validation checks.
+  auto cut = db_.ExplainXJoin("Q(*) := doc : items//item/D");
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_NE(cut->find("validation: top-down (cut edge items//item)"),
+            std::string::npos)
+      << *cut;
+
+  // Both p elements carry the text k, so p's value pins no node and the
+  // value join pairs one p's x with the other p's y.
+  ASSERT_TRUE(db_.RegisterDocumentXml(
+                     "dup", "<r><p>k<x>1</x><y>2</y></p>"
+                            "<p>k<x>3</x><y>4</y></p></r>")
+                  .ok());
+  const std::string dup_query = "Q(*) := dup : p[x]/y";
+  auto dup = db_.ExplainXJoin(dup_query);
+  ASSERT_TRUE(dup.ok()) << dup.status().ToString();
+  EXPECT_NE(
+      dup->find("validation: top-down (branch tag p has duplicate values)"),
+      std::string::npos)
+      << *dup;
+  Metrics metrics;
+  XJoinOptions options;
+  options.metrics = &metrics;
+  auto result = db_.QueryXJoin(dup_query, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_rows(), 2u);
+  EXPECT_EQ(metrics.Get("xjoin.expanded"), 4);
+  EXPECT_EQ(metrics.Get("xjoin.validated"), 2);
+  EXPECT_GT(metrics.Get("validate.candidates"), 0);
+}
+
 TEST_F(PlanTest, AdaptiveShardPlanGoesCompositeOnSmallLevel0Domains) {
   // R has 2 distinct A values but 3 (A, B) pairs; requesting 4 shards
   // must shard on the composite prefix (depth 2), decided at prepare

@@ -86,6 +86,19 @@ TEST(RelationTest, SortAndDedup) {
   EXPECT_EQ(r.GetRow(2), (Tuple{3, 1}));
 }
 
+TEST(RelationTest, RetainRowsKeepsMarkedRowsInOrder) {
+  auto s = Schema::Make({"A", "B"});
+  Relation r(*s);
+  for (int64_t i = 0; i < 5; ++i) r.AppendRow({i, 10 * i});
+  r.RetainRows({0, 1, 1, 0, 1});
+  ASSERT_EQ(r.num_rows(), 3u);
+  EXPECT_EQ(r.GetRow(0), (Tuple{1, 10}));
+  EXPECT_EQ(r.GetRow(1), (Tuple{2, 20}));
+  EXPECT_EQ(r.GetRow(2), (Tuple{4, 40}));
+  r.RetainRows({0, 0, 0});
+  EXPECT_EQ(r.num_rows(), 0u);
+}
+
 TEST(RelationTest, FromTuplesValidatesArity) {
   auto s = Schema::Make({"A", "B"});
   EXPECT_TRUE(Relation::FromTuples(*s, {{1, 2}, {3, 4}}).ok());

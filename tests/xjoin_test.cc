@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "core/baseline.h"
 #include "core/bound.h"
+#include "core/database.h"
 #include "core/xjoin.h"
 #include "relational/operators.h"
 #include "tests/test_util.h"
@@ -321,6 +322,92 @@ TEST(WorkloadTest, BookstoreQueriesAnswerAndAgree) {
     auto bp = Project(*b, a->schema().attributes());
     EXPECT_TRUE(RelationsEqualAsSets(*a, *bp));
   }
+}
+
+// A Figure-1-shaped invoice document: 120 invoices with 1-3 order lines
+// each, ISBN and price values repeated across invoices. With
+// `equal_lines`, invoice o2's first two order lines carry the same text,
+// so orderLine values stop naming one node each.
+std::string InvoicesXml(bool equal_lines) {
+  std::string xml = "<invoices>";
+  for (int i = 0; i < 120; ++i) {
+    xml += "<invoice><orderID>o" + std::to_string(i) + "</orderID>";
+    for (int l = 0; l < 1 + i % 3; ++l) {
+      xml += "<orderLine>";
+      if (equal_lines && i == 2 && l < 2) xml += "line";
+      xml += "<ISBN>b" + std::to_string((i + l) % 5) + "</ISBN><price>" +
+             std::to_string((i * 3 + l) % 4) + "</price></orderLine>";
+    }
+    xml += "</invoice>";
+  }
+  return xml + "</invoices>";
+}
+
+// Runs the Figure 1 query at threads {1,4} x batch {0,1024}, with and
+// without structural pruning, against the baseline engine; returns the
+// metrics of the serial, scalar, unpruned run.
+Metrics ExpectInvoicesQueryMatchesBaseline(bool equal_lines,
+                                           const std::string& explained) {
+  MultiModelDatabase db;
+  std::string csv = "orderID,userID\n";
+  for (int i = 0; i < 120; ++i) {
+    csv += "o" + std::to_string(i) + ",u" + std::to_string(i) + "\n";
+  }
+  EXPECT_TRUE(db.RegisterRelationCsv("R", csv).ok());
+  EXPECT_TRUE(
+      db.RegisterDocumentXml("invoices", InvoicesXml(equal_lines)).ok());
+  const std::string q =
+      "Q(userID, ISBN, price) := R, "
+      "invoices:invoice[orderID]/orderLine[ISBN]/price";
+  auto explain = db.ExplainXJoin(q);
+  EXPECT_TRUE(explain.ok());
+  EXPECT_NE(explain->find(explained), std::string::npos) << *explain;
+
+  auto baseline = db.Query(q, Engine::kBaseline);
+  EXPECT_TRUE(baseline.ok());
+  Metrics first;
+  for (int threads : {1, 4}) {
+    for (int batch : {0, 1024}) {
+      for (bool pruning : {false, true}) {
+        Metrics metrics;
+        XJoinOptions options;
+        options.num_threads = threads;
+        options.batch_size = batch;
+        options.structural_pruning = pruning;
+        options.metrics = &metrics;
+        auto result = db.QueryXJoin(q, options);
+        EXPECT_TRUE(result.ok()) << result.status().ToString();
+        if (!result.ok() || !baseline.ok()) continue;
+        auto expected = Project(*baseline, result->schema().attributes());
+        EXPECT_TRUE(expected.ok());
+        EXPECT_GT(result->num_rows(), 0u);
+        EXPECT_TRUE(RelationsEqualAsSets(*result, *expected))
+            << "threads=" << threads << " batch=" << batch
+            << " pruning=" << pruning;
+        if (threads == 1 && batch == 0 && !pruning) first = metrics;
+      }
+    }
+  }
+  return first;
+}
+
+TEST(XJoinTest, ExactValueJoinSkipsValidation) {
+  // invoice and orderLine carry no text, so their (synthetic) values are
+  // distinct: every expanded tuple has an embedding.
+  Metrics m = ExpectInvoicesQueryMatchesBaseline(
+      false, "validation: skipped (value join exact)");
+  EXPECT_GT(m.Get("xjoin.expanded"), 0);
+  EXPECT_EQ(m.Get("xjoin.validated"), m.Get("xjoin.expanded"));
+  EXPECT_EQ(m.Get("validate.candidates"), 0);
+}
+
+TEST(XJoinTest, EqualBranchTextDeclinesTheSkip) {
+  // o2's equal orderLine values let the value join pair the first line's
+  // ISBN with the second line's price; validation must drop those.
+  Metrics m = ExpectInvoicesQueryMatchesBaseline(
+      true, "validation: top-down (branch tag orderLine has duplicate values)");
+  EXPECT_GT(m.Get("validate.candidates"), 0);
+  EXPECT_LT(m.Get("xjoin.validated"), m.Get("xjoin.expanded"));
 }
 
 // The heavyweight differential property: random document + random P-C/A-D
