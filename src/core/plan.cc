@@ -252,7 +252,6 @@ Result<std::shared_ptr<XJoinPlan>> PrepareXJoin(const MultiModelQuery& query,
     XJ_ASSIGN_OR_RETURN(exec.decomposition, DecomposeTwig(ti.twig));
     exec.validation_reason =
         ValidationReason(ti.twig, exec.decomposition, *ti.index);
-    exec.validation_skipped = exec.validation_reason.empty();
     exec.order_pos_of_node.resize(ti.twig.num_nodes());
     for (size_t q = 0; q < ti.twig.num_nodes(); ++q) {
       exec.order_pos_of_node[q] =
@@ -376,7 +375,7 @@ std::string ExplainPlan(const XJoinPlan& plan) {
     const XJoinPlan::TwigExec& exec = plan.twigs[t];
     out += "    transform(Sx): " +
            DecompositionToString(ti.twig, exec.decomposition) + "\n";
-    out += exec.validation_skipped
+    out += exec.validation_skipped()
                ? std::string("    validation: skipped (value join exact)\n")
                : "    validation: top-down (" + exec.validation_reason + ")\n";
   }

@@ -215,15 +215,16 @@ struct XJoinPlan {
     TwigStructureValidator validator;
     /// Twig node id -> position of its attribute in the global order.
     std::vector<size_t> order_pos_of_node;
+    /// Why the final filter still runs (EXPLAIN); empty when skipped.
+    std::string validation_reason;
+
     /// True when every expanded tuple provably has an embedding, so the
     /// final filter passes the twig through: the decomposition cut no
     /// A-D edge and every twig node with two or more children has a tag
     /// whose values are distinct in the document. Each value then pins
     /// its branch node (and, through P-C parents, every shared node of
     /// the paths), so the paths' chains glue into one embedding.
-    bool validation_skipped = false;
-    /// Why the final filter still runs (EXPLAIN); empty when skipped.
-    std::string validation_reason;
+    bool validation_skipped() const { return validation_reason.empty(); }
 
     explicit TwigExec(TwigStructureValidator v) : validator(std::move(v)) {}
   };

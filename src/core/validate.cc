@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-
 namespace xjoin {
 
 namespace {

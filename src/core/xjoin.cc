@@ -130,7 +130,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
   // column in row order, keeping the output deterministic.
   bool validate_rows = false;
   for (const XJoinPlan::TwigExec& exec : plan.twigs) {
-    if (!exec.validation_skipped) validate_rows = true;
+    if (!exec.validation_skipped()) validate_rows = true;
   }
   if (validate_rows) {
     const size_t num_rows = expanded.num_rows();
@@ -150,7 +150,7 @@ Result<Relation> ExecutePlan(const XJoinPlan& plan,
           Metrics* metrics =
               options.metrics != nullptr ? &slot.metrics : nullptr;
           for (const XJoinPlan::TwigExec& exec : plan.twigs) {
-            if (exec.validation_skipped) continue;
+            if (exec.validation_skipped()) continue;
             for (size_t q = 0; q < exec.order_pos_of_node.size(); ++q) {
               slot.values[q] = expanded.at(r, exec.order_pos_of_node[q]);
             }

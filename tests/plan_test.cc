@@ -317,14 +317,14 @@ TEST_F(PlanTest, ParallelValidationCountersAreExact) {
 TEST_F(PlanTest, ExplainShowsWhetherFinalValidationRuns) {
   // item carries no text, so its synthetic values are distinct and the
   // value join of item[B]/D is exact.
-  auto exact = db_.ExplainXJoin(q_);
+  auto exact = db_.OpenSession().Explain(q_);
   ASSERT_TRUE(exact.ok()) << exact.status().ToString();
   EXPECT_NE(exact->find("validation: skipped (value join exact)"),
             std::string::npos)
       << *exact;
 
   // The decomposition cuts the A-D edge, which only validation checks.
-  auto cut = db_.ExplainXJoin("Q(*) := doc : items//item/D");
+  auto cut = db_.OpenSession().Explain("Q(*) := doc : items//item/D");
   ASSERT_TRUE(cut.ok()) << cut.status().ToString();
   EXPECT_NE(cut->find("validation: top-down (cut edge items//item)"),
             std::string::npos)
@@ -336,17 +336,18 @@ TEST_F(PlanTest, ExplainShowsWhetherFinalValidationRuns) {
                      "dup", "<r><p>k<x>1</x><y>2</y></p>"
                             "<p>k<x>3</x><y>4</y></p></r>")
                   .ok());
+  Session session = db_.OpenSession();
   const std::string dup_query = "Q(*) := dup : p[x]/y";
-  auto dup = db_.ExplainXJoin(dup_query);
+  auto dup = session.Explain(dup_query);
   ASSERT_TRUE(dup.ok()) << dup.status().ToString();
   EXPECT_NE(
       dup->find("validation: top-down (branch tag p has duplicate values)"),
       std::string::npos)
       << *dup;
   Metrics metrics;
-  XJoinOptions options;
+  QueryOptions options;
   options.metrics = &metrics;
-  auto result = db_.QueryXJoin(dup_query, options);
+  auto result = session.Query(dup_query, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 2u);
   EXPECT_EQ(metrics.Get("xjoin.expanded"), 4);

@@ -343,39 +343,46 @@ std::string InvoicesXml(bool equal_lines) {
   return xml + "</invoices>";
 }
 
-// Runs the Figure 1 query at threads {1,4} x batch {0,1024}, with and
-// without structural pruning, against the baseline engine; returns the
-// metrics of the serial, scalar, unpruned run.
-Metrics ExpectInvoicesQueryMatchesBaseline(bool equal_lines,
-                                           const std::string& explained) {
-  MultiModelDatabase db;
+constexpr char kInvoicesQuery[] =
+    "Q(userID, ISBN, price) := R, "
+    "invoices:invoice[orderID]/orderLine[ISBN]/price";
+
+void LoadInvoices(MultiModelDatabase* db, bool equal_lines) {
   std::string csv = "orderID,userID\n";
   for (int i = 0; i < 120; ++i) {
     csv += "o" + std::to_string(i) + ",u" + std::to_string(i) + "\n";
   }
-  EXPECT_TRUE(db.RegisterRelationCsv("R", csv).ok());
+  EXPECT_TRUE(db->RegisterRelationCsv("R", csv).ok());
   EXPECT_TRUE(
-      db.RegisterDocumentXml("invoices", InvoicesXml(equal_lines)).ok());
-  const std::string q =
-      "Q(userID, ISBN, price) := R, "
-      "invoices:invoice[orderID]/orderLine[ISBN]/price";
-  auto explain = db.ExplainXJoin(q);
-  EXPECT_TRUE(explain.ok());
-  EXPECT_NE(explain->find(explained), std::string::npos) << *explain;
+      db->RegisterDocumentXml("invoices", InvoicesXml(equal_lines)).ok());
+}
 
-  auto baseline = db.Query(q, Engine::kBaseline);
-  EXPECT_TRUE(baseline.ok());
+// Runs the Figure 1 query at threads {1,4} x batch {0,1024}, with and
+// without structural pruning, against the baseline engine; returns the
+// metrics of the serial, scalar, unpruned run.
+Metrics ExpectInvoicesQueryMatchesBaseline(const Session& session,
+                                           const std::string& explained) {
+  auto explain = session.Explain(kInvoicesQuery);
+  EXPECT_TRUE(explain.ok()) << explain.status().ToString();
+  if (explain.ok()) {
+    EXPECT_NE(explain->find(explained), std::string::npos) << *explain;
+  }
+
+  QueryOptions baseline_options;
+  baseline_options.engine = Engine::kBaseline;
+  auto baseline = session.Query(kInvoicesQuery, baseline_options);
+  EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
   Metrics first;
   for (int threads : {1, 4}) {
     for (int batch : {0, 1024}) {
       for (bool pruning : {false, true}) {
         Metrics metrics;
-        XJoinOptions options;
-        options.num_threads = threads;
-        options.batch_size = batch;
-        options.structural_pruning = pruning;
+        QueryOptions options;
+        options.xjoin.num_threads = threads;
+        options.xjoin.batch_size = batch;
+        options.xjoin.structural_pruning = pruning;
         options.metrics = &metrics;
-        auto result = db.QueryXJoin(q, options);
+        auto result = session.Query(kInvoicesQuery, options);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
         if (!result.ok() || !baseline.ok()) continue;
         auto expected = Project(*baseline, result->schema().attributes());
@@ -391,11 +398,16 @@ Metrics ExpectInvoicesQueryMatchesBaseline(bool equal_lines,
   return first;
 }
 
+constexpr char kSkipped[] = "validation: skipped (value join exact)";
+constexpr char kDeclined[] =
+    "validation: top-down (branch tag orderLine has duplicate values)";
+
 TEST(XJoinTest, ExactValueJoinSkipsValidation) {
   // invoice and orderLine carry no text, so their (synthetic) values are
   // distinct: every expanded tuple has an embedding.
-  Metrics m = ExpectInvoicesQueryMatchesBaseline(
-      false, "validation: skipped (value join exact)");
+  MultiModelDatabase db;
+  LoadInvoices(&db, /*equal_lines=*/false);
+  Metrics m = ExpectInvoicesQueryMatchesBaseline(db.OpenSession(), kSkipped);
   EXPECT_GT(m.Get("xjoin.expanded"), 0);
   EXPECT_EQ(m.Get("xjoin.validated"), m.Get("xjoin.expanded"));
   EXPECT_EQ(m.Get("validate.candidates"), 0);
@@ -404,9 +416,23 @@ TEST(XJoinTest, ExactValueJoinSkipsValidation) {
 TEST(XJoinTest, EqualBranchTextDeclinesTheSkip) {
   // o2's equal orderLine values let the value join pair the first line's
   // ISBN with the second line's price; validation must drop those.
-  Metrics m = ExpectInvoicesQueryMatchesBaseline(
-      true, "validation: top-down (branch tag orderLine has duplicate values)");
+  MultiModelDatabase db;
+  LoadInvoices(&db, /*equal_lines=*/true);
+  Metrics m = ExpectInvoicesQueryMatchesBaseline(db.OpenSession(), kDeclined);
   EXPECT_GT(m.Get("validate.candidates"), 0);
+  EXPECT_LT(m.Get("xjoin.validated"), m.Get("xjoin.expanded"));
+}
+
+TEST(XJoinTest, DocumentUpdateRevisitsTheSkip) {
+  // The skip is decided from the document's values at prepare time: a
+  // cached plan that skipped must not serve a document updated to repeat
+  // a branch value.
+  MultiModelDatabase db;
+  LoadInvoices(&db, /*equal_lines=*/false);
+  ExpectInvoicesQueryMatchesBaseline(db.OpenSession(), kSkipped);
+  ASSERT_TRUE(
+      db.UpdateDocumentXml("invoices", InvoicesXml(/*equal_lines=*/true)).ok());
+  Metrics m = ExpectInvoicesQueryMatchesBaseline(db.OpenSession(), kDeclined);
   EXPECT_LT(m.Get("xjoin.validated"), m.Get("xjoin.expanded"));
 }
 
