@@ -7,13 +7,6 @@ namespace xjoin {
 
 namespace {
 
-// A direct P-C child is gathered by scanning the children of its
-// parent's candidates when the parent has at most this many candidates
-// and the child's by-value range is at least kChildScanMinRange long (a
-// short range is cheaper to binary-search per parent region).
-constexpr size_t kChildScanMaxParents = 4;
-constexpr size_t kChildScanMinRange = 32;
-
 bool ByNode(const ValueNode& a, const ValueNode& b) { return a.node < b.node; }
 
 }  // namespace
@@ -92,8 +85,8 @@ bool TwigStructureValidator::Check(const int64_t* values, const uint8_t* bound,
   // Top-down, in preorder (every skeleton parent precedes its children):
   // each bound node's candidates are its (tag, value) nodes that lie
   // under some candidate of its skeleton parent. Sets stay sorted by
-  // NodeId; recursive tags can nest parent candidates, so regions are
-  // merged and child scans re-sorted.
+  // NodeId; recursive tags can nest parent candidates, so nested regions
+  // are merged.
   for (size_t q = 0; q < n; ++q) {
     if (!is_bound(q)) continue;
     if (tag_codes_[q] < 0) return false;  // tag absent from document
@@ -120,38 +113,20 @@ bool TwigStructureValidator::Check(const int64_t* values, const uint8_t* bound,
     } else {
       const Scratch::CandidateSet& parents =
           scratch->sets[static_cast<size_t>(edge.parent)];
-      const size_t num_parents =
-          static_cast<size_t>(parents.end - parents.begin);
       std::vector<ValueNode>& buf = set.buf;
       buf.clear();
-      if (edge.exact_parent && num_parents <= kChildScanMaxParents &&
-          static_cast<size_t>(last - first) >= kChildScanMinRange) {
-        const int32_t tag = tag_codes_[q];
-        for (const ValueNode* x = parents.begin; x != parents.end; ++x) {
-          for (NodeId c = doc.node(x->node).first_child; c != kNullNode;
-               c = doc.node(c).next_sibling) {
-            if (doc.node(c).tag == tag && index_->ValueOf(c) == value) {
-              buf.push_back(ValueNode{value, c});
-            }
-          }
+      // Descendants of x occupy the NodeId range (x, subtree_end]; a
+      // parent candidate inside an earlier one's region adds nothing.
+      const ValueNode* it = first;
+      NodeId covered_end = -1;
+      for (const ValueNode* x = parents.begin; x != parents.end; ++x) {
+        if (x->node <= covered_end) continue;
+        covered_end = doc.node(x->node).subtree_end;
+        it = std::upper_bound(it, last, ValueNode{value, x->node}, ByNode);
+        for (; it != last && it->node <= covered_end; ++it) {
+          buf.push_back(*it);
         }
-        if (!std::is_sorted(buf.begin(), buf.end(), ByNode)) {
-          std::sort(buf.begin(), buf.end(), ByNode);
-        }
-      } else {
-        // Descendants of x occupy the NodeId range (x, subtree_end]; a
-        // parent candidate inside an earlier one's region adds nothing.
-        const ValueNode* it = first;
-        NodeId covered_end = -1;
-        for (const ValueNode* x = parents.begin; x != parents.end; ++x) {
-          if (x->node <= covered_end) continue;
-          covered_end = doc.node(x->node).subtree_end;
-          it = std::upper_bound(it, last, ValueNode{value, x->node}, ByNode);
-          for (; it != last && it->node <= covered_end; ++it) {
-            buf.push_back(*it);
-          }
-          if (it == last) break;
-        }
+        if (it == last) break;
       }
       if (buf.empty()) return false;
       set.begin = buf.data();

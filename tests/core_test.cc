@@ -527,9 +527,7 @@ class ValidateProperty : public ::testing::TestWithParam<int> {
       return index.ValueOf(
           static_cast<NodeId>(rng.NextBounded(doc.num_nodes())));
     };
-    size_t checked = 0;
     for (const auto& vals : valid_tuples) {
-      if (++checked > 300) break;  // cap runtime
       EXPECT_TRUE(validate({vals.begin(), vals.end()}));
 
       std::vector<int64_t> mutated = vals;
